@@ -145,11 +145,10 @@ def bench_snapshot_and_journal():
 def bench_commit_vs_rollback():
     """Identical write sets, opposite terminals.
 
-    Committing under the default configuration re-verifies the whole
-    recorded history against the theory predicates on *every* commit,
-    so its per-transaction cost grows with session length; the
-    ``verify=off`` leg isolates that oracle cost from the raw
-    overlay-apply commit path.
+    Committing under the default configuration checks every commit
+    against the scheduler theory online (only the operations recorded
+    since the previous check are folded in); the ``verify=off`` leg
+    isolates that oracle cost from the raw overlay-apply commit path.
     """
     rows_for = lambda t: [
         (10**6 + t * TXN_DELTA + i, 5, i) for i in range(TXN_DELTA)

@@ -51,6 +51,7 @@ from ..transactions import (
     is_strict,
     is_view_serializable,
     optimistic,
+    recovery_class,
     timestamp_order,
     two_phase_lock,
 )
@@ -385,7 +386,12 @@ class LiveTransactionsOracle(Oracle):
 
     * the recorded history's committed projection is conflict
       serializable and classified strict (``manager.verify()``, i.e.
-      the theory predicates applied to the runtime's own schedule);
+      the theory applied to the runtime's own schedule);
+    * the online verdicts ``verify()`` reports equal the batch
+      predicates (:func:`is_conflict_serializable` on the committed
+      projection, :func:`recovery_class` on the whole history) run on
+      ``manager.schedule()`` — the batch theory is the oracle for the
+      incremental checkers;
     * the final database state equals a **serial replay** of the
       committed transactions' programs in commit order on a fresh copy
       of the initial database — the live interleaving changed nothing
@@ -480,6 +486,18 @@ class LiveTransactionsOracle(Oracle):
             messages.append(
                 "[%s] committed history classified %s, expected ST"
                 % (cc, report["recovery_class"])
+            )
+        schedule = manager.schedule()
+        batch = (
+            is_conflict_serializable(schedule.committed_projection()),
+            recovery_class(schedule),
+        )
+        online = (report["conflict_serializable"], report["recovery_class"])
+        if online != batch:
+            messages.append(
+                "[%s] online verdict (serializable=%s, class=%s) differs "
+                "from the batch predicates (serializable=%s, class=%s) "
+                "on %s" % ((cc,) + online + batch + (schedule,))
             )
 
         for entry in manager.journal.entries():

@@ -46,7 +46,6 @@ from ..relational.codd import (
 from ..relational.database import Database, is_system_name
 from ..relational.dml import DMLResult, DMLStatement
 from ..relational.optimizer import optimize
-from ..relational.relation import Relation
 from ..relational.sql_frontend import parse_sql
 from ..storage.txn import TransactionManager
 
@@ -385,13 +384,12 @@ class MetatheoryWorkbench:
                 executed, target_rel
             )
             if txn is not None:
-                old = set(target_rel.tuples)
-                final = (old - set(delete_rows)) | set(insert_rows)
-                added = final - old
-                removed = old - final
-                if added or removed:
+                staged, added, removed = target_rel.with_delta(
+                    insert_rows, delete_rows
+                )
+                if staged is not target_rel:
                     txn.stage(
-                        target, Relation(target_rel.schema, final),
+                        target, staged,
                         inserted=len(added), deleted=len(removed),
                         kind=stmt.kind,
                     )

@@ -159,9 +159,17 @@ def _leaf_columns(expr, attribute, db, out):
 
 
 def _theta_split(expr, attribute, db):
-    """The (left attr, right attr) alignment pair naming ``attribute``."""
-    for a, b in _equi_pairs(expr, db.schema()):
-        if attribute in (a, b):
+    """The (left attr, right attr) alignment pair naming ``attribute``.
+
+    Only a pair whose two sides are partition candidates of their own
+    inputs aligns the shards: with ``a3 = x1 AND a2 = x1`` and only
+    ``a2`` partitionable on the left, ``x1`` splits along ``(a2, x1)``.
+    """
+    schema = db.schema()
+    left = partition_candidates(expr.left, schema)
+    right = partition_candidates(expr.right, schema)
+    for a, b in _equi_pairs(expr, schema):
+        if attribute in (a, b) and a in left and b in right:
             return a, b
     raise PlanError(
         "no equality pair for %r in %r" % (attribute, expr.condition)

@@ -200,7 +200,9 @@ class Database:
         Deletes apply first, then inserts (so an UPDATE's matched rows
         can reappear transformed — or unchanged, as a no-op).  The
         catalog census is maintained **incrementally** on both paths:
-        cost proportional to the delta, never a rescan.
+        cost proportional to the delta, never a rescan.  Only the tuples
+        actually added are validated
+        (:meth:`~repro.relational.relation.Relation.with_delta`).
 
         Returns:
             ``(relation, added, removed)`` — the new binding plus the
@@ -211,18 +213,14 @@ class Database:
         if name not in self._relations:
             raise SchemaError("no relation named %r" % (name,))
         old = self._relations[name]
-        insert_set = {tuple(row) for row in insert_rows}
-        delete_set = {tuple(row) for row in delete_rows}
-        final = (old.tuples - delete_set) | insert_set
-        added = final - old.tuples
-        removed = old.tuples - final
-        if not added and not removed:
-            return old, added, removed
-        relation = Relation(old.schema, final)
         if kind is None:
-            kind = "delete" if not insert_set else (
-                "insert" if not delete_set else "update"
+            insert_rows, delete_rows = list(insert_rows), list(delete_rows)
+            kind = "delete" if not insert_rows else (
+                "insert" if not delete_rows else "update"
             )
+        relation, added, removed = old.with_delta(insert_rows, delete_rows)
+        if relation is old:
+            return old, added, removed
         self._commit_change(
             {name: relation}, kind=kind, txn=txn,
             counts={name: (len(added), len(removed))},

@@ -98,6 +98,36 @@ class Relation:
         """The empty relation over ``schema``."""
         return cls(schema, (), validate=False)
 
+    def with_delta(self, insert_rows=(), delete_rows=()):
+        """The next version after a tuple-level delta.
+
+        Deletes apply first, then inserts (set semantics: a row both
+        deleted and inserted stays).  Only the tuples actually added are
+        validated — every stored tuple was validated when it entered —
+        so the work besides the immutable set copy is proportional to
+        the delta.
+
+        Returns:
+            ``(relation, added, removed)``: the new version (``self``
+            when nothing changes) and the frozensets of tuples actually
+            added and actually removed.
+
+        Raises:
+            SchemaError: an added tuple has the wrong arity or a value
+                outside its domain; nothing is built then.
+        """
+        insert_set = {tuple(row) for row in insert_rows}
+        added = frozenset(insert_set - self.tuples)
+        removed = frozenset(
+            {tuple(row) for row in delete_rows} & self.tuples
+        ) - insert_set
+        if not added and not removed:
+            return self, added, removed
+        for row in added:
+            self.schema.validate_tuple(row)
+        final = (self.tuples - removed) | added
+        return Relation(self.schema, final, validate=False), added, removed
+
     # -- basic queries ------------------------------------------------------
 
     def __len__(self):

@@ -7,10 +7,14 @@ hands out live :class:`Transaction` handles (``wb.begin()``), mediates
 real relation-level conflicts under pluggable concurrency control, and
 — the point of the exercise — records every interleaved execution as an
 ordinary :class:`~repro.transactions.schedule.Schedule`, so each
-committed history is differentially checked against the theory's own
-predicates (:func:`~repro.transactions.serializability.is_conflict_serializable`,
-:func:`~repro.transactions.recovery.recovery_class`) the moment it
-commits.  The theory subsystem is the oracle for the runtime.
+committed history is checked against the theory the moment it commits —
+online, by the theory's incremental checkers
+(:class:`~repro.transactions.serializability.IncrementalPrecedenceGraph`,
+:class:`~repro.transactions.recovery.StrictnessFold`), whose verdicts
+equal the batch predicates
+(:func:`~repro.transactions.serializability.is_conflict_serializable`,
+:func:`~repro.transactions.recovery.recovery_class`) that stay the
+differential oracle.  The theory subsystem is the oracle for the runtime.
 
 Two concurrency controls, both at relation granularity:
 
@@ -40,9 +44,9 @@ from ..errors import TransactionError
 from ..obs.metrics import REGISTRY
 from ..obs.trace import ensure_tracer
 from ..transactions.locking import EXCLUSIVE, SHARED, LockTable
-from ..transactions.recovery import recovery_class
+from ..transactions.recovery import StrictnessFold, recovery_class
 from ..transactions.schedule import Op, Schedule
-from ..transactions.serializability import is_conflict_serializable
+from ..transactions.serializability import IncrementalPrecedenceGraph
 from .journal import ABSENT
 
 #: Concurrency-control modes.
@@ -223,7 +227,8 @@ class TransactionManager:
     __slots__ = ("db", "workbench", "tracer", "metrics", "locks",
                  "verify_on_commit", "ops", "active", "finished",
                  "_next_id", "_read_ts", "_write_ts", "commits", "aborts",
-                 "conflicts", "last_report")
+                 "conflicts", "last_report", "_verified", "_graph",
+                 "_strictness")
 
     def __init__(self, db, workbench=None, tracer=None, metrics=None,
                  verify_on_commit=True):
@@ -243,6 +248,13 @@ class TransactionManager:
         self.aborts = 0
         self.conflicts = 0
         self.last_report = None
+        self._reset_online()
+
+    def _reset_online(self):
+        """Fresh online checkers, with no recorded operation folded in."""
+        self._verified = 0
+        self._graph = IncrementalPrecedenceGraph()
+        self._strictness = StrictnessFold()
 
     @property
     def store(self):
@@ -420,13 +432,23 @@ class TransactionManager:
         :class:`~repro.errors.TransactionError` if the committed
         projection is not conflict serializable or not strict — either
         would mean the runtime violated the theorems it implements.
+
+        The check is online: only the operations recorded since the last
+        call are folded into the theory's incremental checkers, so a
+        commit costs its own operations, not the history's length.
+        :func:`recovery_class` runs in full only to name the class of a
+        non-strict history.
         """
-        committed = self.schedule().committed_projection()
-        serializable = is_conflict_serializable(committed)
-        recovery = recovery_class(self.schedule())
+        new = self.ops[self._verified:]
+        self._verified = len(self.ops)
+        serializable = self._graph.feed(new)
+        if self._strictness.feed(new):
+            recovery = "ST"
+        else:
+            recovery = recovery_class(self.schedule())
         self.last_report = {
             "ops": len(self.ops),
-            "committed": len(committed.committed()),
+            "committed": self._graph.committed,
             "aborted": self.aborts,
             "conflict_serializable": serializable,
             "recovery_class": recovery,
@@ -435,7 +457,7 @@ class TransactionManager:
         if not serializable:
             raise TransactionError(
                 "live history violates conflict serializability: %s"
-                % (committed,)
+                % (self.schedule().committed_projection(),)
             )
         if recovery != "ST":
             raise TransactionError(
@@ -475,6 +497,7 @@ class TransactionManager:
         self._read_ts.clear()
         self._write_ts.clear()
         self.last_report = None
+        self._reset_online()
 
     def __repr__(self):
         return "TransactionManager(%d active, %d committed, %d aborted)" % (

@@ -3,6 +3,7 @@
 from .locking import LockTable, TwoPhaseLockingScheduler, two_phase_lock
 from .optimistic import OptimisticScheduler, optimistic
 from .recovery import (
+    StrictnessFold,
     avoids_cascading_aborts,
     cascading_abort_set,
     is_recoverable,
@@ -20,6 +21,7 @@ from .schedule import (
     transaction,
 )
 from .serializability import (
+    IncrementalPrecedenceGraph,
     conflicts,
     equivalent_serial_schedule,
     final_writers,
@@ -49,7 +51,9 @@ __all__ = [
     "OptimisticScheduler",
     "READ",
     "Schedule",
+    "StrictnessFold",
     "ItemTree",
+    "IncrementalPrecedenceGraph",
     "TimestampScheduler",
     "TreeLockingScheduler",
     "TwoPhaseLockingScheduler",

@@ -102,32 +102,57 @@ def avoids_cascading_aborts(schedule):
     return True
 
 
-def is_strict(schedule):
-    """ST: no reading *or overwriting* of uncommitted (dirty) data."""
-    committed = set()
-    aborted = set()
-    last_writer = {}
-    for op in schedule.ops:
-        if op.kind == COMMIT:
-            committed.add(op.txn)
-        elif op.kind == ABORT:
-            aborted.add(op.txn)
-            # Its dirty writes are undone; previous committed values
-            # reappear — conservatively clear its authorship.
-            for item, writer in list(last_writer.items()):
-                if writer == op.txn:
-                    del last_writer[item]
-        elif op.kind in (READ, WRITE):
-            writer = last_writer.get(op.item)
-            if (
-                writer is not None
-                and writer != op.txn
-                and writer not in committed
-            ):
+class StrictnessFold:
+    """ST as a resumable left fold over a history's operations.
+
+    :meth:`feed` folds more operations into the same state, so a live
+    history can be checked piece by piece with the work of each call
+    proportional to the operations it adds; :func:`is_strict` is one
+    :meth:`feed` of a whole schedule.  The verdict is sticky: once a
+    read or overwrite of dirty data is seen, no longer history is strict.
+
+    Only *dirty* authorship is kept — ``{item: uncommitted last writer}``
+    plus each uncommitted writer's items — so the state is bounded by
+    the in-flight writes, never by history length: a committed writer
+    can no longer make a later operation non-strict, so its entries go
+    at its commit.
+    """
+
+    __slots__ = ("strict", "_dirty", "_written")
+
+    def __init__(self):
+        self.strict = True
+        self._dirty = {}
+        self._written = {}
+
+    def feed(self, ops):
+        """Fold ``ops`` in; returns whether the history so far is strict."""
+        if not self.strict:
+            return False
+        dirty = self._dirty
+        for op in ops:
+            if op.kind in (COMMIT, ABORT):
+                # A commit makes its writes clean; an abort undoes them
+                # and the previous committed values reappear.  Either
+                # way the transaction stops authoring dirty data (and
+                # while the history is strict, nobody else can have
+                # overwritten an item it dirtied).
+                for item in self._written.pop(op.txn, ()):
+                    dirty.pop(item, None)
+                continue
+            writer = dirty.get(op.item)
+            if writer is not None and writer != op.txn:
+                self.strict = False
                 return False
             if op.kind == WRITE:
-                last_writer[op.item] = op.txn
-    return True
+                dirty[op.item] = op.txn
+                self._written.setdefault(op.txn, set()).add(op.item)
+        return True
+
+
+def is_strict(schedule):
+    """ST: no reading *or overwriting* of uncommitted (dirty) data."""
+    return StrictnessFold().feed(schedule.ops)
 
 
 def recovery_class(schedule):

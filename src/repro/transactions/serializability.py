@@ -14,10 +14,12 @@ the feasibly implementable solutions".  Both halves live here:
 
 from __future__ import annotations
 
+import bisect
+import collections
 import itertools
 
 from ..errors import TransactionError
-from .schedule import READ, WRITE, Schedule
+from .schedule import ABORT, COMMIT, READ, WRITE, Schedule
 
 
 def conflicts(schedule):
@@ -87,6 +89,219 @@ def _find_cycle(graph):
 def is_conflict_serializable(schedule):
     """The fundamental theorem: CSR iff the precedence graph is acyclic."""
     return _find_cycle(precedence_graph(schedule)) is None
+
+
+class IncrementalPrecedenceGraph:
+    """Conflict serializability of a growing history, checked per commit.
+
+    The online twin of :func:`is_conflict_serializable`: :meth:`feed`
+    folds further operations of one history in and returns whether the
+    committed projection of everything fed so far is conflict
+    serializable — the batch verdict on that prefix, at a cost per
+    commit that does not grow with history length.
+
+    * **Edges at commit.**  A transaction's operations enter the
+      committed projection when it commits, so that is when its conflict
+      edges are added, each oriented by operation position exactly as
+      :func:`precedence_graph` orients it.  The graph was acyclic before,
+      so a new cycle must run through the committing transaction, and a
+      search from it alone decides the verdict.
+    * **Adjacent conflicts only.**  Per item, an operation is compared
+      with the nearest committed write on each side and with the
+      committed reads between it and those writes.  Every farther
+      conflict follows by transitivity through that chain (an earlier
+      writer already reaches the last one), so reachability — and with
+      it every cycle — is the batch graph's.
+    * **Pruning.**  Only a transaction still active can add an edge, and
+      it conflicts only with operations at or after its own first one.
+      So a committed transaction that ended before the oldest active
+      transaction began gains no new in-edges; once it also has none
+      left it can never lie on a cycle and leaves the graph.  Per item,
+      accesses before that horizon fold into a summary: the last write
+      and the still-live reads after it.
+
+    The verdict is sticky, like the batch one: a cycle among committed
+    transactions stays a cycle in every longer history.
+    """
+
+    __slots__ = ("serializable", "committed", "_position", "_active",
+                 "_pending", "_logs", "_succ", "_indegree", "_reads_of",
+                 "_unfrozen", "_frozen")
+
+    def __init__(self):
+        self.serializable = True
+        self.committed = 0
+        self._position = 0
+        # txn -> position of its first operation, in first-op order.
+        self._active = {}
+        # active txn -> its data operations as [(position, op)].
+        self._pending = {}
+        # item -> _ItemLog of the committed accesses still relevant.
+        self._logs = {}
+        # The live graph over committed, unpruned transactions.
+        self._succ = {}
+        self._indegree = {}
+        self._reads_of = {}
+        # (commit position, txn) in commit order, not yet past the horizon.
+        self._unfrozen = collections.deque()
+        # Live transactions past the horizon: no new in-edges possible.
+        self._frozen = set()
+
+    def feed(self, ops):
+        """Fold ``ops`` in; returns the verdict on the history so far."""
+        for op in ops:
+            position = self._position
+            self._position += 1
+            if op.kind == COMMIT:
+                self.committed += 1
+            if not self.serializable:
+                continue
+            if op.kind == COMMIT:
+                self._commit(op.txn, position)
+            elif op.kind == ABORT:
+                self._active.pop(op.txn, None)
+                self._pending.pop(op.txn, None)
+                self._advance()
+            else:
+                self._active.setdefault(op.txn, position)
+                self._pending.setdefault(op.txn, []).append((position, op))
+        return self.serializable
+
+    def _horizon(self):
+        """Position of the oldest active transaction's first operation."""
+        return next(iter(self._active.values()), self._position)
+
+    def _commit(self, txn, position):
+        floor = self._horizon()
+        self._active.pop(txn, None)
+        accesses = self._pending.pop(txn, ())
+        self._succ[txn] = set()
+        self._indegree[txn] = 0
+        logs = self._logs
+        for at, op in accesses:
+            log = logs.get(op.item)
+            if log is None:
+                log = logs[op.item] = _ItemLog()
+            log.trim(floor, self._succ)
+            log.link(at, op, self._edge)
+        for at, op in accesses:
+            logs[op.item].insert(at, op)
+        reads = {op.item for _at, op in accesses if op.kind == READ}
+        if reads:
+            self._reads_of[txn] = reads
+        if self._indegree[txn] and self._succ[txn] and self._on_cycle(txn):
+            self.serializable = False
+            return
+        self._unfrozen.append((position, txn))
+        self._advance()
+
+    def _edge(self, source, target):
+        succ = self._succ
+        if source in succ and target in succ and target not in succ[source]:
+            succ[source].add(target)
+            self._indegree[target] += 1
+
+    def _on_cycle(self, txn):
+        seen = set()
+        stack = list(self._succ[txn])
+        while stack:
+            node = stack.pop()
+            if node == txn:
+                return True
+            if node not in seen:
+                seen.add(node)
+                stack.extend(self._succ[node])
+        return False
+
+    def _advance(self):
+        """Freeze transactions the horizon passed; prune the sources."""
+        horizon = self._horizon()
+        unfrozen = self._unfrozen
+        while unfrozen and unfrozen[0][0] < horizon:
+            _at, txn = unfrozen.popleft()
+            self._frozen.add(txn)
+            if not self._indegree[txn]:
+                self._prune(txn)
+
+    def _prune(self, txn):
+        stack = [txn]
+        while stack:
+            node = stack.pop()
+            self._frozen.discard(node)
+            del self._indegree[node]
+            for succ in self._succ.pop(node):
+                self._indegree[succ] -= 1
+                if not self._indegree[succ] and succ in self._frozen:
+                    stack.append(succ)
+            for item in self._reads_of.pop(node, ()):
+                self._logs[item].base_reads.pop(node, None)
+
+
+class _ItemLog:
+    """One item's committed accesses that a commit can still conflict with.
+
+    ``recent`` holds ``(position, op)`` at or after the floor (the
+    horizon when last trimmed), in position order; older accesses are
+    summarized by the last write before the floor (``base_write``) and
+    the live transactions' reads after it (``base_reads``).
+    """
+
+    __slots__ = ("base_write", "base_reads", "recent")
+
+    def __init__(self):
+        self.base_write = None
+        self.base_reads = {}
+        self.recent = []
+
+    def trim(self, floor, live):
+        recent = self.recent
+        cut = 0
+        while cut < len(recent) and recent[cut][0] < floor:
+            op = recent[cut][1]
+            if op.kind == WRITE:
+                self.base_write = op
+                self.base_reads = {}
+            elif op.txn in live:
+                self.base_reads.setdefault(op.txn, op)
+            cut += 1
+        del recent[:cut]
+
+    def link(self, at, op, edge):
+        """Add the edges between ``op`` (at ``at``) and its adjacent
+        conflicting accesses: the nearest write on each side, plus — for
+        a write — the reads between it and those writes."""
+        recent = self.recent
+        index = bisect.bisect_left(recent, (at,))
+        writes = op.kind == WRITE
+        for k in range(index - 1, -1, -1):
+            other = recent[k][1]
+            if other.kind == WRITE:
+                if other.conflicts_with(op):
+                    edge(other.txn, op.txn)
+                break
+            if writes and other.conflicts_with(op):
+                edge(other.txn, op.txn)
+        else:
+            if writes:
+                for reader in self.base_reads.values():
+                    if reader.conflicts_with(op):
+                        edge(reader.txn, op.txn)
+            if self.base_write is not None and (
+                self.base_write.conflicts_with(op)
+            ):
+                edge(self.base_write.txn, op.txn)
+        for k in range(index, len(recent)):
+            other = recent[k][1]
+            if other.kind == WRITE:
+                if op.conflicts_with(other):
+                    edge(op.txn, other.txn)
+                break
+            if writes and op.conflicts_with(other):
+                edge(op.txn, other.txn)
+
+    def insert(self, at, op):
+        recent = self.recent
+        recent.insert(bisect.bisect_left(recent, (at,)), (at, op))
 
 
 def serialization_order(schedule):

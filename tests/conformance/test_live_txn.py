@@ -108,6 +108,30 @@ class TestOracle:
                 caught += 1
         assert caught > 0
 
+    def test_an_online_checker_blind_to_cycles_is_caught(
+        self, oracle, monkeypatch
+    ):
+        """With locks that grant everything, non-serializable histories
+        commit; an online checker that never finds a cycle must then
+        disagree with the batch predicates the oracle runs itself."""
+        from repro.transactions.locking import LockTable
+        from repro.transactions.serializability import (
+            IncrementalPrecedenceGraph,
+        )
+
+        monkeypatch.setattr(
+            LockTable, "can_grant", lambda self, txn, item, mode: True
+        )
+        monkeypatch.setattr(
+            IncrementalPrecedenceGraph, "_on_cycle", lambda self, txn: False
+        )
+        differs = 0
+        for seed in range(SWEEP):
+            case = oracle.generate(seed)
+            messages = oracle.check(case)
+            differs += any("differs from the batch" in m for m in messages)
+        assert differs > 0
+
 
 class TestShrinker:
     def test_shrinks_toward_the_failure_witness(self):

@@ -205,6 +205,36 @@ class TestShardPlans:
         )
         self.run_both(expr, db)
 
+    def test_theta_split_skips_pairs_whose_left_side_is_not_aligned(self):
+        # Shrunk from the parallel differential suite: ``x1`` appears in
+        # two equality pairs, and the first one names ``a3``, which the
+        # semijoin below cannot partition on.  Splitting ``x1`` must use
+        # the ``(a2, x1)`` pair instead of asking r1 for column a3.
+        db = Database()
+        rng = random.Random(3)
+        for name, attrs in (("r0", ("a0", "a1")), ("r1", ("a1", "a2")),
+                            ("r2", ("a2", "a3"))):
+            db.add(Relation(RelationSchema(name, attrs), {
+                (rng.randrange(5), rng.randrange(5)) for _ in range(12)
+            }))
+        expr = ra.ThetaJoin(
+            ra.Semijoin(ra.RelationRef("r2"), ra.RelationRef("r1")),
+            ra.Rename(ra.RelationRef("r0"), {"a0": "x1", "a1": "x2"}),
+            ra.And(
+                ra.Comparison(ra.Attr("a3"), "=", ra.Attr("x1")),
+                ra.Comparison(ra.Attr("a2"), "=", ra.Attr("x1")),
+            ),
+        )
+        plan = canonicalize(expr, db.schema())
+        for attribute in sorted(partition_candidates(plan, db.schema())):
+            _attr, fragments = Partitioner(2).shard_plans(
+                plan, db, attribute=attribute
+            )
+            merged = set()
+            for fragment in fragments:
+                merged |= execute(fragment, Database()).tuples
+            assert merged == execute(plan, db).tuples
+
     def test_unpartitionable_plan_returns_none(self):
         db = make_db()
         expr = ra.Product(

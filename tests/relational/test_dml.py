@@ -21,7 +21,10 @@ from repro.relational.dml import (
     InsertStatement,
     UpdateStatement,
 )
+from repro.relational.relation import Relation
+from repro.relational.schema import RelationSchema
 from repro.relational.sql_frontend import parse_sql
+from repro.relational.types import INTEGER, Domain
 
 
 def make_wb(**kwargs):
@@ -145,6 +148,103 @@ class TestSemantics:
         wb = make_wb()
         with pytest.raises(SchemaError):
             wb.sql("INSERT INTO ghost VALUES (1)")
+
+
+def make_counted_wb(rows):
+    """A workbench over ``acct(id, val)`` whose ``id`` domain counts how
+    often it is consulted — one call per validated tuple."""
+    calls = []
+
+    def is_int(value):
+        calls.append(value)
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    schema = RelationSchema("acct", ("id", "val"), (Domain("id", is_int),
+                                                    INTEGER))
+    db = Database()
+    db.add(Relation(schema, [(i, i % 7) for i in range(rows)]))
+    calls.clear()
+    return MetatheoryWorkbench(db, metrics=MetricsRegistry()), calls
+
+
+class TestDeltaValidation:
+    """A new version validates only the tuples the delta adds: every
+    stored tuple was validated when it entered."""
+
+    FOUR_ROWS = (
+        "INSERT INTO acct VALUES (5000, 1), (5001, 1), (5002, 1), (5003, 1)"
+    )
+
+    def test_autocommit_insert_validates_only_the_added_rows(self):
+        wb, calls = make_counted_wb(2000)
+        wb.sql(self.FOUR_ROWS)
+        assert sorted(calls) == [5000, 5001, 5002, 5003]
+        assert len(wb.db["acct"]) == 2004
+
+    def test_transactional_insert_validates_only_the_added_rows(self):
+        wb, calls = make_counted_wb(2000)
+        with wb.begin() as txn:
+            txn.sql(self.FOUR_ROWS)
+        assert sorted(calls) == [5000, 5001, 5002, 5003]
+        assert len(wb.db["acct"]) == 2004
+
+    def test_update_and_delete_validate_only_new_images(self):
+        wb, calls = make_counted_wb(2000)
+        wb.sql("UPDATE acct SET val = 9 WHERE acct.id = 3")
+        assert calls == [3]
+        calls.clear()
+        wb.sql("DELETE FROM acct WHERE acct.val = 9")
+        assert calls == []
+        assert len(wb.db["acct"]) == 1999
+
+    def test_out_of_domain_insert_raises_and_leaves_no_version(self):
+        wb, _calls = make_counted_wb(20)
+        store = wb.db.store()
+        vid, entries = store.vid, len(store.journal.entries())
+        with pytest.raises(SchemaError):
+            wb.sql("INSERT INTO acct VALUES (1, 1), ('x', 1)")
+        assert store.vid == vid
+        assert len(store.journal.entries()) == entries
+        assert len(wb.db["acct"]) == 20
+
+    def test_out_of_domain_insert_in_a_transaction_stages_nothing(self):
+        wb, _calls = make_counted_wb(20)
+        store = wb.db.store()
+        vid, entries = store.vid, len(store.journal.entries())
+        txn = wb.begin()
+        with pytest.raises(SchemaError):
+            txn.sql("INSERT INTO acct VALUES (100, 1), (101, 2.5)")
+        assert txn.writes == set() and txn.binding("acct") is wb.db["acct"]
+        assert len(store.journal.entries()) == entries
+        txn.commit()
+        assert store.vid == vid
+        assert len(wb.db["acct"]) == 20
+
+    def test_wrong_arity_rows_raise_on_the_delta_paths(self):
+        wb, _calls = make_counted_wb(20)
+        store = wb.db.store()
+        vid = store.vid
+        with pytest.raises(SchemaError):
+            wb.db.insert("acct", [(1, 2, 3)])
+        with pytest.raises(SchemaError):
+            wb.db.apply_delta("acct", insert_rows=[(7,)],
+                              delete_rows=[(1, 1)])
+        assert store.vid == vid
+        assert len(wb.db["acct"]) == 20
+        # Through SQL a VALUES arity mismatch is caught earlier still.
+        with pytest.raises(ParseError):
+            wb.sql("INSERT INTO acct VALUES (1, 2, 3)")
+
+    def test_with_delta_reports_only_actual_changes(self):
+        wb, calls = make_counted_wb(5)
+        rel = wb.db["acct"]
+        same, added, removed = rel.with_delta([(1, 1)], [(99, 0)])
+        assert same is rel and added == removed == frozenset()
+        assert calls == []
+        new, added, removed = rel.with_delta([(7, 0), (2, 2)], [(2, 2)])
+        assert added == {(7, 0)} and removed == frozenset()
+        assert new.tuples == rel.tuples | {(7, 0)}
+        assert calls == [7]
 
 
 class TestExecutorRoutes:

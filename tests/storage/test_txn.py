@@ -15,6 +15,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.relational.database import Database
 from repro.storage.txn import TransactionConflict, TransactionManager
 from repro.transactions.recovery import recovery_class
+from repro.transactions.schedule import Op, parse_schedule
 from repro.transactions.serializability import is_conflict_serializable
 
 
@@ -261,6 +262,64 @@ class TestTheoryAsOracle:
         txn.rollback()
         wb.txns.reset()
         assert wb.txns.schedule().ops == ()
+
+
+class TestOnlineVerification:
+    """``verify()`` folds only the operations recorded since its last
+    call into the theory's online checkers: per-commit work must not
+    grow with the session's history."""
+
+    def test_per_commit_verification_work_is_flat(self, monkeypatch):
+        wb = MetatheoryWorkbench(
+            Database.from_dict(
+                {"acct": (("id", "val"), [(i, 0) for i in range(10)])}
+            ),
+            metrics=MetricsRegistry(),
+        )
+        assert wb.txns.verify_on_commit
+        comparisons = []
+        original = Op.conflicts_with
+
+        def counted(self, other):
+            comparisons.append((self, other))
+            return original(self, other)
+
+        monkeypatch.setattr(Op, "conflicts_with", counted)
+        per_commit = []
+        for t in range(300):
+            txn = wb.begin()
+            txn.sql("INSERT INTO acct VALUES (%d, %d)" % (100 + t, t))
+            comparisons.clear()
+            txn.commit()
+            per_commit.append(len(comparisons))
+        assert wb.txns.last_report["committed"] == 300
+        assert len(wb.txns.ops) == 900  # r, w, c per transaction
+        assert 0 < per_commit[299] <= per_commit[29]
+
+    def test_reset_clears_the_online_state(self):
+        wb = make_wb()
+        for name in ("dee", "eve", "fay"):
+            with wb.begin() as txn:
+                txn.sql("INSERT INTO person VALUES ('%s', 'sf')" % name)
+        assert wb.txns.last_report["committed"] == 3
+        wb.txns.reset()
+        # A lost update recorded after the reset: shorter than the
+        # pre-reset history, so stale online state would skip it.
+        manager = wb.txns
+        raised_at = None
+        for index, op in enumerate(
+            parse_schedule("r10(x) r11(x) w11(x) c11 w10(x) c10")
+        ):
+            manager._record(op)
+            if op.kind == "c":
+                try:
+                    manager.verify()
+                except TransactionError:
+                    raised_at = index
+                    break
+        assert raised_at == 5
+        assert manager.last_report["committed"] == 2
+        assert manager.last_report["ops"] == 6
 
 
 class TestObservability:
