@@ -20,10 +20,23 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 from repro.obs import render_trace
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+
+
+def timed(fn, repeats=5):
+    """Best-of-N wall clock (seconds) plus the last result."""
+    best, result = None, None
+    for _ in range(repeats):
+        started = time.perf_counter()
+        result = fn()
+        elapsed = time.perf_counter() - started
+        if best is None or elapsed < best:
+            best = elapsed
+    return best, result
 
 
 def write_artifact(name, text):

@@ -24,7 +24,6 @@ and ``BENCH_compile.json`` at the repo root.
 
 import json
 import os
-import time
 
 from repro.compile import KernelCache
 from repro.datalog.stats import EngineStatistics
@@ -34,25 +33,13 @@ from repro.plan.executor import execute_physical
 from repro.relational import algebra as ra
 from repro.relational.database import Database
 
-from .conftest import format_table, write_artifact, write_metrics
+from .conftest import format_table, timed, write_artifact, write_metrics
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: The acceptance gate: compiled wall clock beats interpreted by this
 #: factor on every workload (measured headroom is ~2x beyond it).
 MIN_SPEEDUP = 2.0
-
-
-def timed(fn, repeats=5):
-    """Best-of-N wall clock (seconds) plus the last result."""
-    best, result = None, None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - started
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, result
 
 
 def filter_project_workload():

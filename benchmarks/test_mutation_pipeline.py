@@ -22,14 +22,13 @@ Artifacts: ``benchmarks/results/mutation_pipeline*`` and
 
 import json
 import os
-import time
 
 from repro.core.workbench import MetatheoryWorkbench
 from repro.obs import MetricsRegistry
 from repro.relational.database import Database
 from repro.relational.relation import Relation
 
-from .conftest import format_table, write_artifact, write_metrics
+from .conftest import format_table, timed, write_artifact, write_metrics
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -38,17 +37,6 @@ PERROW_ROWS = 2000
 SNAPSHOTS = 10000
 TXNS = 150
 TXN_DELTA = 100
-
-
-def timed(fn, repeats=3):
-    best, result = None, None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - started
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, result
 
 
 def make_wb():
@@ -76,7 +64,7 @@ def bench_bulk_vs_per_row():
         )
         return wb
 
-    bulk_seconds, wb = timed(bulk)
+    bulk_seconds, wb = timed(bulk, repeats=3)
     bulk_rows = len(wb.db["sink"])
     assert bulk_rows == SOURCE_ROWS // 7 + (1 if SOURCE_ROWS % 7 > 3 else 0)
 
@@ -113,7 +101,7 @@ def bench_snapshot_and_journal():
         for _ in range(SNAPSHOTS):
             wb.snapshot()
 
-    snap_seconds, _ = timed(pin)
+    snap_seconds, _ = timed(pin, repeats=3)
 
     # The journaled, versioned delta commit vs raw Relation
     # construction over the same tuples — the honest price of MVCC.
@@ -124,7 +112,7 @@ def bench_snapshot_and_journal():
         fresh.db.apply_delta("sink", insert_rows=batch)
         return fresh
 
-    versioned_seconds, fresh = timed(versioned)
+    versioned_seconds, fresh = timed(versioned, repeats=3)
     assert len(fresh.db["sink"]) == len(batch)
 
     schema = fresh.db["sink"].schema
@@ -132,7 +120,7 @@ def bench_snapshot_and_journal():
     def raw():
         return Relation(schema, set(batch))
 
-    raw_seconds, _ = timed(raw)
+    raw_seconds, _ = timed(raw, repeats=3)
 
     return {
         "snapshot_microseconds": snap_seconds / SNAPSHOTS * 1e6,

@@ -12,7 +12,7 @@ helps the chain join.  Table in results/optimizer_ablation.txt.
 """
 
 import random
-import time
+import statistics
 
 from repro.relational import (
     Database,
@@ -32,7 +32,7 @@ from repro.relational.optimizer import (
     reorder_joins,
 )
 
-from .conftest import format_table, write_artifact
+from .conftest import format_table, timed, write_artifact
 
 
 def star_database(fact_rows=1500, dim_rows=40, seed=0):
@@ -66,18 +66,12 @@ def chain_database(rows=250, seed=1):
     )
 
 
-def timed(fn, *args, repeat=3):
-    best = None
-    result = None
-    for _ in range(repeat):
-        start = time.perf_counter()
-        result = fn(*args)
-        best = min(best or 1e9, time.perf_counter() - start)
-    return best, result
+#: Timing rounds: each variant's figure is its median over this many runs.
+ROUNDS = 11
 
 
 def ablation_rows():
-    rows = []
+    variants = []
 
     # Query 1: selection over a product (the pushdown showcase).
     star = star_database()
@@ -92,16 +86,14 @@ def ablation_rows():
         ("a", "c"),
     )
     schema = star.schema()
-    variants1 = [
-        ("star/none", query1),
-        ("star/pushdown", push_selections(query1, schema)),
-        ("star/pushdown+joins", form_joins(push_selections(query1, schema), schema)),
-    ]
     reference = evaluate(query1, star)
-    for label, expr in variants1:
-        seconds, result = timed(evaluate, expr, star)
-        assert same_content(result, reference), label
-        rows.append((label, round(seconds * 1000, 2)))
+    variants += [
+        ("star/none", query1, star, reference),
+        ("star/pushdown", push_selections(query1, schema), star, reference),
+        ("star/pushdown+joins",
+         form_joins(push_selections(query1, schema), schema), star,
+         reference),
+    ]
 
     # Query 2: a 3-way chain join (the reordering showcase).
     chain = chain_database()
@@ -110,15 +102,26 @@ def ablation_rows():
         RelationRef("r3"),
     )
     reference2 = evaluate(query2, chain)
-    variants2 = [
-        ("chain/none", query2),
-        ("chain/reordered", reorder_joins(query2, chain)),
+    variants += [
+        ("chain/none", query2, chain, reference2),
+        ("chain/reordered", reorder_joins(query2, chain), chain, reference2),
     ]
-    for label, expr in variants2:
-        seconds, result = timed(evaluate, expr, chain)
-        assert same_content(result, reference2), label
-        rows.append((label, round(seconds * 1000, 2)))
-    return rows
+
+    # The variants take 2-3 ms each, and on a shared host their timings
+    # jump between two speed levels for a few ms at a time.  Interleaving
+    # the rounds across variants exposes every variant to the same
+    # levels, and the median ignores a rare run on either level, which
+    # a best-of-N figure would report for one variant only.
+    samples = {label: [] for label, _expr, _db, _expected in variants}
+    for _ in range(ROUNDS):
+        for label, expr, db, expected in variants:
+            seconds, result = timed(lambda: evaluate(expr, db), repeats=1)
+            assert same_content(result, expected), label
+            samples[label].append(seconds)
+    return [
+        (label, round(statistics.median(samples[label]) * 1000, 2))
+        for label, _expr, _db, _expected in variants
+    ]
 
 
 def test_optimizer_ablation(benchmark):

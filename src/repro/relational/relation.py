@@ -66,18 +66,6 @@ class Relation:
             return []
         return sorted(self._indexes)
 
-    # -- pickling ---------------------------------------------------------
-
-    def __getstate__(self):
-        # Cached indexes are derived data and can be large; rebuild them
-        # lazily on the other side of the process boundary instead of
-        # shipping them (plan shards pickle Relations to pool workers).
-        return (self.schema, self.tuples)
-
-    def __setstate__(self, state):
-        self.schema, self.tuples = state
-        self._indexes = None
-
     # -- constructors -----------------------------------------------------
 
     @classmethod

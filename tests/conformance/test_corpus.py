@@ -72,8 +72,9 @@ class TestSeededRegressionCorpus:
 
     This is the tier-1 regression gate for the historical bug classes
     (magic/top-down program-text facts, the theta-join enumeration
-    filter, the parallel serial-retry fallback, the recovery
-    abort-restore model) — and for anything future fuzz runs persist.
+    filter, a plan shape from the removed parallel backend's
+    serial-retry fallback, the recovery abort-restore model) — and for
+    anything future fuzz runs persist.
     """
 
     def test_corpus_is_seeded(self):

@@ -45,9 +45,8 @@ class TestArithmetic:
         assert a.iterations == 1
 
     def test_chain_merge_equals_shard_sum(self):
-        # The parallel backend folds per-shard counter dicts into one
-        # EngineStatistics; chained merges must equal the fieldwise sum,
-        # whatever the merge order.
+        # Folding several counter sets into one EngineStatistics must
+        # equal the fieldwise sum, whatever the merge order.
         shards = [
             EngineStatistics(facts_scanned=i, index_probes=2 * i, iterations=1)
             for i in range(1, 5)
@@ -64,8 +63,8 @@ class TestArithmetic:
         assert reversed_total == total
 
     def test_merge_round_trips_through_as_dict(self):
-        # Worker processes ship counters as plain dicts; rebuilding and
-        # merging must charge exactly the original work.
+        # Counters exported as plain dicts must rebuild and merge to
+        # exactly the original work.
         source = EngineStatistics(facts_scanned=7, rule_firings=3)
         rebuilt = EngineStatistics(**source.as_dict())
         target = EngineStatistics(facts_scanned=1)

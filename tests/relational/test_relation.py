@@ -49,21 +49,6 @@ class TestConstruction:
         r = rel("r", ("a", "b"), [(1, "x")])
         assert r.active_domain() == {1, "x"}
 
-    def test_pickle_round_trips_without_cached_indexes(self):
-        # Plan shards ship Relations to worker processes; the pickle must
-        # carry schema + tuples but drop the derived index cache, which
-        # rebuilds lazily on the other side.
-        import pickle
-
-        r = rel("r", ("a", "b"), [(1, 2), (3, 4)])
-        r._key_index((0,))  # warm an index cache
-        assert r.cached_index_patterns() == [(0,)]
-        clone = pickle.loads(pickle.dumps(r))
-        assert clone == r
-        assert clone.schema.attributes == r.schema.attributes
-        assert clone.cached_index_patterns() == []
-        assert clone._key_index((0,)) == r._key_index((0,))
-
 
 class TestOperators:
     def setup_method(self):
